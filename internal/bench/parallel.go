@@ -41,9 +41,9 @@ type ParallelResult struct {
 	// DeliveredMatch reports whether both kernels completed the same
 	// workload (same submissions generated, same deliveries).
 	DeliveredMatch bool
-	// GateNote qualifies the speedup gate for the detected core count: a
-	// speedup below 1 on a 1-2 core runner is the expected barrier
-	// overhead, not a regression.
+	// GateNote states the speedup gate CI enforces for the detected core
+	// count: >= 5x at 8+ cores, >= 1.2x at 2-7, >= 0.5x at 1, always with
+	// DeliveredMatch.
 	GateNote string
 }
 
@@ -118,19 +118,26 @@ func RunParallelCompare(groups, replicas, clients int, window sim.Duration, o *o
 	return res, nil
 }
 
-// speedupGateNote explains what the speedup gate means on this machine.
-// The multi-domain leg runs one OS thread per domain; with fewer cores
-// than domains those threads time-share, and on 1-2 cores the window
-// barrier makes the parallel kernel strictly slower than the serial one.
-func speedupGateNote(cores int) string {
+// minSpeedup is the smallest Speedup the sim-parallel-smoke CI job
+// accepts on a runner with the given core count. With fewer cores than
+// domains the domains' threads time-share, so the bar falls with the
+// core count; on one core there is no parallelism at all and the gate
+// only bounds the window barrier's overhead.
+func minSpeedup(cores int) float64 {
 	switch {
-	case cores <= 2:
-		return fmt.Sprintf("%d core(s) detected: speedup < 1 is expected (barrier overhead without parallelism); gate on delivered_match only", cores)
-	case cores < 8:
-		return fmt.Sprintf("%d cores detected: expect partial speedup (domains time-share cores)", cores)
+	case cores >= 8:
+		return 5
+	case cores >= 2:
+		return 1.2
 	default:
-		return fmt.Sprintf("%d cores detected: expect speedup > 1", cores)
+		return 0.5
 	}
+}
+
+// speedupGateNote states the gate CI applies to this report on a runner
+// with the given core count.
+func speedupGateNote(cores int) string {
+	return fmt.Sprintf("%d core(s) detected: CI requires speedup >= %.1fx and delivered_match", cores, minSpeedup(cores))
 }
 
 // Format renders the comparison.

@@ -124,20 +124,20 @@ func (q *QP) writeCross(p *sim.Proc, addr Addr, data []byte) error {
 // postWriteCross is the cross-domain unsignaled write path — the
 // multicast transport's hot path. The issuer pays only the posting
 // overhead; the payload commits in the target's domain.
-func (q *QP) postWriteCross(p *sim.Proc, addr Addr, data []byte) error {
-	reg, err := q.region(addr, len(data))
+func (q *QP) postWriteCross(p *sim.Proc, addr Addr, data writeData) error {
+	n := data.len()
+	reg, err := q.region(addr, n)
 	if err != nil {
 		return err
 	}
 	local, remote := q.local.sched, q.remote.sched
 	hop := q.hop(q.cfg.WriteBase)
-	start := q.local.nic.admit(local.Now(), q.cfg, len(data))
-	buf := append([]byte(nil), data...)
+	start := q.local.nic.admit(local.Now(), q.cfg, n)
 	sim.CrossAt(local, remote, start+hop, func() {
-		serve := q.remote.nic.admit(remote.Now(), q.cfg, len(buf))
-		commit := serve + q.bwTime(len(buf))
+		serve := q.remote.nic.admit(remote.Now(), q.cfg, n)
+		commit := serve + q.bwTime(n)
 		remote.At(commit, func() {
-			copy(reg.buf[addr.Off:addr.Off+len(buf)], buf)
+			data.placeInto(reg.buf[addr.Off : addr.Off+n])
 			q.remote.writeNotify.Broadcast()
 		})
 	})

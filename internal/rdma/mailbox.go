@@ -135,10 +135,12 @@ func (w *MailboxWriter) Send(p *sim.Proc, payload []byte) error {
 		return err
 	}
 
+	// The marker and the record are built here and handed to the QP, so
+	// posting them copies nothing.
 	if wrap {
 		marker := make([]byte, 4)
 		binary.LittleEndian.PutUint32(marker, wrapMarker)
-		if err := w.qp.PostWrite(p, w.addAddr(mailboxHdr+off), marker); err != nil {
+		if err := w.qp.postWrite(p, w.addAddr(mailboxHdr+off), writeData{buf: marker}); err != nil {
 			return err
 		}
 		w.tail += uint64(w.cap - off)
@@ -148,16 +150,14 @@ func (w *MailboxWriter) Send(p *sim.Proc, payload []byte) error {
 	rec := make([]byte, span)
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	copy(rec[4:], payload)
-	if err := w.qp.PostWrite(p, w.addAddr(mailboxHdr+off), rec); err != nil {
+	if err := w.qp.postWrite(p, w.addAddr(mailboxHdr+off), writeData{buf: rec}); err != nil {
 		return err
 	}
 	w.tail += uint64(span)
 
 	// Publish the new tail. RC guarantees in-order placement, so the
 	// consumer never observes the tail ahead of the record bytes.
-	tailBuf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(tailBuf, w.tail)
-	return w.qp.PostWrite(p, w.addAddr(0), tailBuf)
+	return w.qp.postWrite(p, w.addAddr(0), wordData(w.tail))
 }
 
 // addAddr offsets the ring base address.
@@ -269,10 +269,8 @@ func (m *Mailbox) returnCredit(p *sim.Proc) {
 	if m.creditQP == nil {
 		return // producer never connected; nothing to credit
 	}
-	buf := make([]byte, 8)
-	binary.LittleEndian.PutUint64(buf, m.head)
 	// Best effort: a dead producer no longer needs credit.
-	_ = m.creditQP.PostWrite(p, m.creditAddr, buf)
+	_ = m.creditQP.postWrite(p, m.creditAddr, wordData(m.head))
 }
 
 // Node returns the consumer node hosting the ring.

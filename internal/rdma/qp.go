@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -211,7 +212,7 @@ func (q *QP) Write(p *sim.Proc, addr Addr, data []byte) error {
 	if q.pathDown() || q.dropDrawn() {
 		return q.failVerb(p)
 	}
-	done, err := q.post(addr, data)
+	done, err := q.post(addr, writeData{buf: bytes.Clone(data)})
 	if err != nil {
 		return err
 	}
@@ -225,8 +226,43 @@ func (q *QP) Write(p *sim.Proc, addr Addr, data []byte) error {
 // PostWrite posts a one-sided WRITE without waiting for completion; the
 // issuer is charged only the CPU posting overhead. The payload becomes
 // visible in target memory after the usual write latency. Errors at the
-// target (crash mid-flight) are silent, as with unsignaled verbs.
+// target (crash mid-flight) are silent, as with unsignaled verbs. data
+// is copied at posting, so the caller may reuse it.
 func (q *QP) PostWrite(p *sim.Proc, addr Addr, data []byte) error {
+	return q.postWrite(p, addr, writeData{buf: bytes.Clone(data)})
+}
+
+// writeData is the payload of a WRITE, owned by the verb until it
+// commits: a buffer its caller never touches again, or an 8-byte
+// little-endian word carried inline, so that posting a word needs no
+// heap buffer at all.
+type writeData struct {
+	buf    []byte
+	word   uint64
+	isWord bool
+}
+
+// wordData returns the payload of an 8-byte little-endian word write.
+func wordData(v uint64) writeData { return writeData{word: v, isWord: true} }
+
+func (d writeData) len() int {
+	if d.isWord {
+		return 8
+	}
+	return len(d.buf)
+}
+
+// placeInto writes the payload into target memory dst (d.len() bytes).
+func (d writeData) placeInto(dst []byte) {
+	if d.isWord {
+		binary.LittleEndian.PutUint64(dst, d.word)
+		return
+	}
+	copy(dst, d.buf)
+}
+
+// postWrite is PostWrite for any payload kind.
+func (q *QP) postWrite(p *sim.Proc, addr Addr, data writeData) error {
 	if err := q.checkLocal(); err != nil {
 		return err
 	}
@@ -255,22 +291,21 @@ func (q *QP) PostWrite(p *sim.Proc, addr Addr, data []byte) error {
 
 // post validates the target and schedules the payload commit event,
 // returning the commit instant.
-func (q *QP) post(addr Addr, data []byte) (sim.Time, error) {
-	reg, err := q.region(addr, len(data))
+func (q *QP) post(addr Addr, data writeData) (sim.Time, error) {
+	n := data.len()
+	reg, err := q.region(addr, n)
 	if err != nil {
 		return 0, err
 	}
-	done, wait := q.completionTime(q.cfg.WriteBase, len(data))
+	done, wait := q.completionTime(q.cfg.WriteBase, n)
 	io := q.o()
 	var sp *obs.Span
 	if io != nil {
 		io.writeOps.Inc()
-		io.writeBytes.Add(uint64(len(data)))
+		io.writeBytes.Add(uint64(n))
 		sp = io.track.BeginAsync("rdma", "write").
-			Arg("to", int(q.remote.id)).Arg("bytes", len(data)).Arg("nic_wait_ns", int64(wait))
+			Arg("to", int(q.remote.id)).Arg("bytes", n).Arg("nic_wait_ns", int64(wait))
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	q.sched.At(done, func() {
 		defer sp.End()
 		if q.pathDown() {
@@ -281,7 +316,7 @@ func (q *QP) post(addr Addr, data []byte) (sim.Time, error) {
 			}
 			return
 		}
-		copy(reg.buf[addr.Off:addr.Off+len(buf)], buf)
+		data.placeInto(reg.buf[addr.Off : addr.Off+n])
 		q.remote.writeNotify.Broadcast()
 	})
 	return done, nil

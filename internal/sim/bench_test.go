@@ -136,9 +136,7 @@ func BenchmarkQueueDenseBurstNew(b *testing.B) {
 			q.push(at, uint64(i*burst+j), nop)
 		}
 		for q.len() > 0 {
-			ev := q.pop()
-			sinkTime = ev.at
-			q.recycle(ev)
+			sinkTime, _ = q.pop()
 		}
 	}
 }
@@ -169,10 +167,9 @@ func BenchmarkQueueTimerNew(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := q.pop()
-		sinkTime = ev.at
-		q.push(ev.at+standing, uint64(standing+i), nop)
-		q.recycle(ev)
+		at, _ := q.pop()
+		sinkTime = at
+		q.push(at+standing, uint64(standing+i), nop)
 	}
 }
 

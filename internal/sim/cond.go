@@ -13,22 +13,36 @@ type Cond struct {
 	Reason string
 }
 
+// condWaiter is a proc's registration on a Cond. Each Proc owns one and
+// reuses it for every wait (Proc.cw).
 type condWaiter struct {
 	p *Proc
+	// c is the cond being waited on.
+	c *Cond
 	// active distinguishes a live waiter from one already released (by
-	// broadcast or timeout); stale timer events check it before acting.
+	// broadcast or timeout).
 	active   bool
 	timedOut bool
+	// timer is a WaitTimeout's pending expiry event (timer.ev is nil for
+	// Wait); releasing the waiter cancels it.
+	timer eventRef
 }
 
 // NewCond returns a condition variable bound to s.
 func NewCond(s *Scheduler) *Cond { return &Cond{s: s} }
 
-// Wait blocks the calling process until the next Broadcast.
-func (c *Cond) Wait(p *Proc) {
-	w := &condWaiter{p: p, active: true}
+// register enrolls p's waiter on c and labels the wait.
+func (c *Cond) register(p *Proc) *condWaiter {
+	w := &p.cw
+	*w = condWaiter{p: p, c: c, active: true}
 	c.waiters = append(c.waiters, w)
 	p.waitReason = c.waitReason()
+	return w
+}
+
+// Wait blocks the calling process until the next Broadcast.
+func (c *Cond) Wait(p *Proc) {
+	c.register(p)
 	p.doYield()
 }
 
@@ -44,43 +58,72 @@ func (c *Cond) waitReason() string {
 // d elapses. It reports true if the process was woken by Broadcast and
 // false on timeout.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
-	w := &condWaiter{p: p, active: true}
-	c.waiters = append(c.waiters, w)
-	p.waitReason = c.waitReason()
-	c.s.After(d, func() {
-		if !w.active {
-			return
-		}
-		w.active = false
-		w.timedOut = true
-		c.remove(w)
-		c.s.step(p)
-	})
+	w := c.register(p)
+	if p.expire == nil {
+		p.expire = p.timeout
+	}
+	if d < 0 {
+		d = 0
+	}
+	w.timer = c.s.timer(d, p.expire)
 	p.doYield()
 	return !w.timedOut
+}
+
+// timeout is the expiry event of a WaitTimeout: the wait ends unanswered.
+// It only runs for a waiter still registered: whatever releases a waiter
+// earlier (Broadcast, or Kill through withdraw) cancels the event.
+func (p *Proc) timeout() {
+	w := &p.cw
+	w.active = false
+	w.timedOut = true
+	w.timer = eventRef{}
+	w.c.remove(w)
+	p.s.step(p)
 }
 
 // Broadcast releases every currently blocked waiter. Waiters resume at the
 // current virtual time, in the order they started waiting, after the
 // currently running event completes.
 func (c *Cond) Broadcast() {
-	waiters := c.waiters
-	c.waiters = nil
-	for _, w := range waiters {
+	for i, w := range c.waiters {
+		c.waiters[i] = nil
 		if !w.active {
 			continue
 		}
-		w.active = false
-		w := w
-		c.s.At(c.s.now, func() { c.s.step(w.p) })
+		w.release()
+		c.s.At(c.s.now, w.p.wake)
 	}
+	c.waiters = c.waiters[:0]
+}
+
+// release marks w no longer waiting and cancels its pending expiry.
+func (w *condWaiter) release() {
+	w.active = false
+	if w.timer.ev != nil {
+		w.c.s.q.cancel(w.timer)
+		w.timer = eventRef{}
+	}
+}
+
+// withdraw takes a still-registered waiter off its cond, for a proc that
+// stops waiting without a wakeup from the cond (Kill).
+func (w *condWaiter) withdraw() {
+	if !w.active {
+		return
+	}
+	w.release()
+	w.c.remove(w)
 }
 
 // remove drops w from the waiter list.
 func (c *Cond) remove(w *condWaiter) {
 	for i, x := range c.waiters {
 		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			n := len(c.waiters) - 1
+			copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[n] = nil
+			c.waiters = c.waiters[:n]
 			return
 		}
 	}

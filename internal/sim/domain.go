@@ -294,14 +294,13 @@ func (d *Domains) runSequential(deadline Time) error {
 		if best.fatalErr != nil {
 			return best.fatalErr
 		}
-		ev := best.q.pop()
-		best.now = ev.at
+		at, fn := best.q.pop()
+		best.now = at
 		best.eventCount++
 		if best.MaxEvents != 0 && best.eventCount > best.MaxEvents {
 			return fmt.Errorf("sim: domain %d exceeded MaxEvents=%d at t=%v", best.domID, best.MaxEvents, best.now)
 		}
-		ev.fn()
-		best.q.recycle(ev)
+		fn()
 		if best.fatalErr != nil {
 			return best.fatalErr
 		}

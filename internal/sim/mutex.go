@@ -50,12 +50,16 @@ func (m *Mutex) Unlock(p *Proc) {
 	}
 	for len(m.waiters) > 0 {
 		next := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		// Shift in place rather than reslice, so the queue's backing
+		// array is reused and a grant allocates nothing.
+		n := copy(m.waiters, m.waiters[1:])
+		m.waiters[n] = nil
+		m.waiters = m.waiters[:n]
 		if next.state == procDone || next.killed {
 			continue // killed while waiting; never grant
 		}
 		m.owner = next
-		m.s.At(m.s.now, func() { m.s.step(next) })
+		m.s.At(m.s.now, next.wake)
 		return
 	}
 	m.owner = nil

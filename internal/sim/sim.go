@@ -2,12 +2,23 @@
 //
 // All Heron protocol logic runs as cooperative processes (Proc) scheduled
 // over a virtual clock. Within one scheduler exactly one process executes
-// at a time; control is handed between the scheduler goroutine and process
-// goroutines through a strict handshake, so executions are fully
-// deterministic for a given sequence of Spawn/After calls. Virtual time is
-// advanced only by the event queue: a process gives up the CPU by
-// sleeping, waiting on a Cond, or exiting, never by blocking on real OS
-// primitives.
+// at a time; control is handed between the scheduler and each process
+// through a strict alternation, so executions are fully deterministic for
+// a given sequence of Spawn/After calls. Virtual time is advanced only by
+// the event queue: a process gives up the CPU by sleeping, waiting on a
+// Cond, or exiting, never by blocking on real OS primitives.
+//
+// The hand-off itself is a runtime coroutine (iter.Pull) when built with
+// Go 1.23 or later, so a switch costs a direct goroutine switch with no
+// trip through the Go scheduler; older toolchains use a pair of channels
+// (proc_coro.go, proc_chan.go). Both give the same alternation, so the
+// choice changes host speed only, never a simulated result.
+//
+// Wakeups allocate nothing in steady state: each Proc carries one wake
+// closure and one condition-variable waiter, reused by every Sleep, Cond
+// wait and Mutex grant. When Broadcast releases a WaitTimeout waiter it
+// cancels the waiter's pending expiry, so polling waits leave no no-op
+// timers behind in the event queue.
 //
 // A Scheduler is also one domain of a parallel simulation (see domain.go):
 // independent partitions of a deployment can each own a scheduler, with
@@ -113,6 +124,13 @@ func (s *Scheduler) At(at Time, fn func()) {
 	s.q.push(at, s.seq, fn)
 }
 
+// timer is After for a non-negative d, returning a reference to the
+// queued event for callers that may cancel it.
+func (s *Scheduler) timer(d Duration, fn func()) eventRef {
+	s.seq++
+	return s.q.push(s.now+Time(d), s.seq, fn)
+}
+
 // After schedules fn to run d from now. Negative delays are clamped to 0.
 func (s *Scheduler) After(d Duration, fn func()) {
 	if d < 0 {
@@ -142,12 +160,21 @@ type Proc struct {
 	name  string
 	state procState
 
-	// The handshake channels have capacity 1 so that handing the token
-	// over never parks the giving side: a context switch costs one park
-	// (the receiving side) instead of two. The strict alternation of
-	// scheduler and process keeps at most one token in flight.
-	resume chan struct{} // scheduler -> proc: you have the CPU
-	yield  chan struct{} // proc -> scheduler: I gave it back
+	// handoff passes the CPU between scheduler and proc (start, resume,
+	// yield in proc_coro.go or proc_chan.go).
+	handoff
+
+	// wake resumes the proc. It is built once at spawn and reused by
+	// every timer and wakeup that targets the proc, so waking allocates
+	// nothing.
+	wake func()
+	// expire is the WaitTimeout expiry event's closure, built on the
+	// proc's first timed wait.
+	expire func()
+	// cw is the proc's condition-variable waiter, reused across waits: a
+	// proc waits on at most one Cond at a time, and a released waiter
+	// leaves no reference behind (Broadcast cancels its expiry).
+	cw condWaiter
 
 	// waitReason says what a blocked process is waiting for; it feeds the
 	// deadlock report.
@@ -173,6 +200,13 @@ func (k killedErr) Error() string { return fmt.Sprintf("sim: proc %q killed", k.
 
 // Spawn creates a process that starts at the current virtual time. The
 // body runs the first time the scheduler reaches the start event.
+//
+// A panic in the body ends the process and is returned by Run. A
+// runtime.Goexit in the body (t.Fatal, for instance) is not contained:
+// with the coroutine hand-off (Go 1.23 and later) it ends the goroutine
+// running the scheduler, after the process has been marked done; that is
+// the caller of Run, or a worker of Domains.Run. (The channel hand-off of
+// older toolchains ends only the process's own goroutine.)
 func (s *Scheduler) Spawn(name string, body func(p *Proc)) *Proc {
 	return s.SpawnAfter(0, name, body)
 }
@@ -180,15 +214,13 @@ func (s *Scheduler) Spawn(name string, body func(p *Proc)) *Proc {
 // SpawnAfter creates a process whose body starts d from now.
 func (s *Scheduler) SpawnAfter(d Duration, name string, body func(p *Proc)) *Proc {
 	p := &Proc{
-		s:      s,
-		name:   name,
-		state:  procNew,
-		resume: make(chan struct{}, 1),
-		yield:  make(chan struct{}, 1),
+		s:     s,
+		name:  name,
+		state: procNew,
 	}
+	p.wake = func() { s.step(p) }
 	s.procs[p] = struct{}{}
-	go func() {
-		<-p.resume
+	p.start(func() {
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killedErr); !ok {
@@ -199,14 +231,13 @@ func (s *Scheduler) SpawnAfter(d Duration, name string, body func(p *Proc)) *Pro
 			}
 			p.state = procDone
 			delete(s.procs, p)
-			p.yield <- struct{}{}
 		}()
 		if p.killed {
 			panic(killedErr{p.name})
 		}
 		body(p)
-	}()
-	s.After(d, func() { s.step(p) })
+	})
+	s.After(d, p.wake)
 	return p
 }
 
@@ -216,8 +247,7 @@ func (s *Scheduler) step(p *Proc) {
 		return
 	}
 	p.state = procRunning
-	p.resume <- struct{}{}
-	<-p.yield
+	p.resume()
 }
 
 // doYield parks the calling process and returns control to the scheduler.
@@ -225,18 +255,20 @@ func (s *Scheduler) step(p *Proc) {
 // or a Cond waiter registration), otherwise the process deadlocks.
 func (p *Proc) doYield() {
 	p.state = procBlocked
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield()
 	p.state = procRunning
 	p.waitReason = ""
 	if p.killed {
+		// Woken by Kill: withdraw a still-registered Cond wait so that
+		// neither its cond nor its expiry timer keeps the dead proc.
+		p.cw.withdraw()
 		panic(killedErr{p.name})
 	}
 }
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {
-	p.s.After(d, func() { p.s.step(p) })
+	p.s.After(d, p.wake)
 	p.waitReason = "sleep"
 	p.doYield()
 }
@@ -257,7 +289,7 @@ func (p *Proc) Kill() {
 	if p.state == procBlocked || p.state == procNew {
 		// Wake it up so it can unwind. Waking a Cond waiter twice is
 		// harmless: the second resume finds the proc done and is a no-op.
-		p.s.At(p.s.now, func() { p.s.step(p) })
+		p.s.At(p.s.now, p.wake)
 	}
 }
 
@@ -308,14 +340,13 @@ func (s *Scheduler) runLocal(end Time) error {
 		if !ok || at >= end {
 			return nil
 		}
-		ev := s.q.pop()
-		s.now = ev.at
+		at, fn := s.q.pop()
+		s.now = at
 		s.eventCount++
 		if s.MaxEvents != 0 && s.eventCount > s.MaxEvents {
 			return fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v", s.MaxEvents, s.now)
 		}
-		ev.fn()
-		s.q.recycle(ev)
+		fn()
 	}
 }
 
